@@ -43,15 +43,11 @@ class Scenario:
 
 
 def _random_blocks(rng: random.Random, count: int, size: int) -> List[bytes]:
-    return [
-        bytes(rng.randrange(256) for __ in range(size)) for __ in range(count)
-    ]
+    return [rng.randbytes(size) for __ in range(count)]
 
 
 def _random_array(rng: random.Random, size: int) -> np.ndarray:
-    return np.frombuffer(
-        bytes(rng.randrange(256) for __ in range(size)), dtype=np.uint8
-    ).copy()
+    return np.frombuffer(rng.randbytes(size), dtype=np.uint8).copy()
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,9 @@ accounting, etc.).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
 from repro.journal.records import (
@@ -92,11 +94,22 @@ class BlockStore:
     touching in-memory state — the write-ahead invariant the recovery
     path relies on.  The ``restore_*`` / ``resume_ids`` entry points are
     for recovery and checkpoint loading only and never journal.
+
+    ``on_change`` is an optional ``callback(block_id)`` run after every
+    change to a block's replica set or stripe binding
+    (:meth:`add_replica`, :meth:`remove_replica` — which
+    :meth:`retain_only`, :meth:`move_replica` and
+    :meth:`add_parity_block` go through — and :meth:`assign_stripe`).
+    The repair queue uses it to re-rank only the stripes a mutation
+    touched.  ``restore_block`` needs no report: a block that was not
+    registered cannot be queued, and a new block changes no other
+    block's replicas.
     """
 
     def __init__(self, topology: ClusterTopology) -> None:
         self.topology = topology
         self.journal = None
+        self.on_change: Optional[Callable[[BlockId], None]] = None
         self._blocks: Dict[BlockId, Block] = {}
         self._replicas: Dict[BlockId, List[Replica]] = {}
         self._node_blocks: Dict[NodeId, Set[BlockId]] = {
@@ -182,6 +195,8 @@ class BlockStore:
             ))
         updated = Block(old.block_id, old.size, old.kind, stripe_id)
         self._blocks[block_id] = updated
+        if self.on_change is not None:
+            self.on_change(block_id)
         return updated
 
     def block(self, block_id: BlockId) -> Block:
@@ -222,6 +237,8 @@ class BlockStore:
         replica = Replica(block_id, node_id, is_primary)
         self._replicas[block_id].append(replica)
         self._node_blocks[node_id].add(block_id)
+        if self.on_change is not None:
+            self.on_change(block_id)
         return replica
 
     def add_replicas(self, block_id: BlockId, node_ids: Sequence[NodeId]) -> List[Replica]:
@@ -247,6 +264,8 @@ class BlockStore:
                 del replicas[index]
                 self._node_blocks[node_id].discard(block_id)
                 self._corrupted.discard((block_id, node_id))
+                if self.on_change is not None:
+                    self.on_change(block_id)
                 return
         raise KeyError(f"node {node_id} stores no replica of block {block_id}")
 

@@ -10,7 +10,7 @@ RaidNode simply groups every ``k`` data blocks in metadata order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cluster.block import BlockId
 from repro.cluster.topology import RackId
@@ -99,6 +99,15 @@ class PreEncodingStore:
 
     Args:
         k: Data blocks per stripe.
+
+    ``on_change`` is an optional ``callback(block_id)`` run after
+    :meth:`add_block` binds a block to a stripe (see
+    :attr:`repro.cluster.block.BlockStore.on_change`).  The encode
+    commit reports its state flip itself, for every member, once the
+    stripe is marked encoded.  ``restore_stripe`` and the journal
+    replay's ``mark_encoded`` only run on the fresh stores that
+    :func:`repro.journal.recovery.recover` builds and has not yet
+    returned, so no listener can be attached to observe them.
     """
 
     def __init__(self, k: int) -> None:
@@ -109,6 +118,7 @@ class PreEncodingStore:
         self._stripes: Dict[int, Stripe] = {}
         self._next_id = 0
         self._block_to_stripe: Dict[BlockId, int] = {}
+        self.on_change: Optional[Callable[[BlockId], None]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -179,6 +189,8 @@ class PreEncodingStore:
         self._block_to_stripe[block_id] = stripe_id
         if seal_when_full and stripe.is_full():
             stripe.seal()
+        if self.on_change is not None:
+            self.on_change(block_id)
         return stripe
 
     def seal(self, stripe_id: int) -> Stripe:

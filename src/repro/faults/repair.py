@@ -15,8 +15,9 @@ re-planning both its source set and its target node.
 
 from __future__ import annotations
 
+import heapq
 import random
-from typing import Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from repro.cluster.block import BlockId, BlockStore
 from repro.cluster.topology import NodeId, RackId
@@ -67,6 +68,18 @@ class RepairQueue:
     The worker process starts on construction and runs forever; it sleeps
     on an internal wakeup event while idle, so an empty queue costs
     nothing.
+
+    Dispatch order comes from an incremental most-at-risk index: a
+    lazy-deletion heap of each waiting block's :meth:`_risk_key`, plus a
+    set of blocks whose key may have moved.  A key depends on its
+    stripe's member replica sets, its stripe's state and its stripe
+    membership; the stores report writes to each through ``on_change``
+    (replica adds and removals, ``PreEncodingStore.add_block``, and the
+    NameNode's encode commit), and the queue marks the touched block
+    dirty.  Only dirty blocks' stripes are re-keyed, at the next
+    dispatch.  The queue listens only while it holds damage, and a
+    second queue that tries to listen to the same stores at the same
+    time raises ``RuntimeError``.
     """
 
     def __init__(
@@ -96,6 +109,13 @@ class RepairQueue:
         self.concurrency = concurrency
         self._pending: Dict[BlockId, Event] = {}
         self._active: set = set()
+        # The most-at-risk index over pending, non-active blocks: current
+        # keys, a heap that may hold stale keys, and the touched blocks
+        # whose stripes must be re-keyed before the next pop.
+        self._keys: Dict[BlockId, Tuple[int, int, BlockId]] = {}
+        self._heap: List[Tuple[int, int, BlockId]] = []
+        self._touched: Set[BlockId] = set()
+        self._on_change = self._touched.add
         self._wakeup: Optional[Event] = None
         self.outcomes: Dict[str, int] = {
             DECODED: 0, REREPLICATED: 0, NOOP: 0, UNRECOVERABLE: 0,
@@ -120,8 +140,11 @@ class RepairQueue:
         """
         if block_id in self._pending:
             return self._pending[block_id]
+        if not self._pending:
+            self._listen(True)
         done = self.sim.event()
         self._pending[block_id] = done
+        self._touched.add(block_id)
         if self.resilience is not None:
             self.resilience.block_unavailable(block_id, self.sim.now)
         if self.recovery is not None and self._margin(block_id) <= 0:
@@ -188,11 +211,9 @@ class RepairQueue:
 
     def _run_serial(self) -> Generator:
         while True:
-            if self._pending:
-                block_id = self._pop_most_at_risk()
-                start = self.sim.now
-                outcome = yield from self._repair_one(block_id)
-                self._finish_repair(block_id, start, outcome)
+            block_id = self._pop_most_at_risk()
+            if block_id is not None:
+                yield from self._repair_and_finish(block_id)
             elif self._reloc_pending and self.mover is not None:
                 stripe = self._reloc_pending.pop(0)
                 yield from self._relocate(stripe)
@@ -209,13 +230,10 @@ class RepairQueue:
         as in the serial worker.
         """
         while True:
-            waiting = sorted(
-                (b for b in self._pending if b not in self._active),
-                key=self._risk_key,
-            )
-            while waiting and len(self._active) < self.concurrency:
-                block_id = waiting.pop(0)
-                self._active.add(block_id)
+            while len(self._active) < self.concurrency:
+                block_id = self._pop_most_at_risk()
+                if block_id is None:
+                    break
                 self.sim.process(self._repair_and_finish(block_id))
             if (
                 not self._pending
@@ -257,20 +275,75 @@ class RepairQueue:
                     self._vulnerability_key(block_id), self.sim.now
                 )
         done = self._pending.pop(block_id)
+        if not self._pending:
+            self._listen(False)
         done.succeed(outcome)
 
-    def _pop_most_at_risk(self) -> BlockId:
-        """The pending block whose stripe has the smallest failure margin.
+    # ------------------------------------------------------------------
+    # Most-at-risk index
+    # ------------------------------------------------------------------
+    def _listen(self, on: bool) -> None:
+        """Attach to (or detach from) the stores' ``on_change`` slots.
+
+        Detaching also resets the index: with nothing pending it holds
+        only stale heap entries.
+        """
+        stores = [self.namenode.block_store]
+        if self.namenode.pre_encoding_store is not None:
+            stores.append(self.namenode.pre_encoding_store)
+        if on and any(store.on_change is not None for store in stores):
+            raise RuntimeError(
+                "another repair queue already watches this namenode's stores"
+            )
+        for store in stores:
+            if on:
+                store.on_change = self._on_change
+            elif store.on_change is self._on_change:
+                store.on_change = None
+        if not on:
+            self._keys.clear()
+            self._heap.clear()
+            self._touched.clear()
+
+    def _pop_most_at_risk(self) -> Optional[BlockId]:
+        """Start the waiting block whose stripe has the smallest margin.
 
         Margin = surviving copies above the decode threshold (``k``
         members for an encoded stripe, one replica otherwise); ties break
         in deterministic ``(stripe_id, block_id)`` order — *not* arrival
         order, so the repair sequence is a pure function of cluster state
-        regardless of how the damage was discovered.  Recomputed at each
-        pop so repairs and further failures re-rank the queue
-        continuously.
+        regardless of how the damage was discovered.  Keys are refreshed
+        from the dirty set first: every member of each touched block's
+        stripe that still waits is re-keyed, and a moved key is pushed
+        anew (its old heap entry goes stale and is skipped on pop).
+        Repairs and further failures thus re-rank the queue continuously,
+        and the pop order equals a full sort of the waiting blocks by
+        :meth:`_risk_key`.  The block moves to ``_active``; returns
+        ``None`` when no block waits.
         """
-        return min(self._pending, key=self._risk_key)
+        if self._touched:
+            dirty: Set[BlockId] = set()
+            for block_id in sorted(self._touched):
+                stripe = self._stripe_of(block_id)
+                dirty.add(block_id)
+                if stripe is not None:
+                    dirty.update(stripe.all_block_ids())
+            self._touched.clear()
+            for block_id in sorted(dirty):
+                if block_id not in self._pending or block_id in self._active:
+                    continue
+                key = self._risk_key(block_id)
+                if self._keys.get(block_id) != key:
+                    self._keys[block_id] = key
+                    heapq.heappush(self._heap, key)
+        while self._heap:
+            key = heapq.heappop(self._heap)
+            block_id = key[2]
+            if self._keys.get(block_id) == key:
+                del self._keys[block_id]
+                self._active.add(block_id)
+                return block_id
+        return None
 
     def _risk_key(self, block_id: BlockId) -> Tuple[int, int, BlockId]:
         stripe = self._stripe_of(block_id)
@@ -419,11 +492,11 @@ class RepairQueue:
                 for node in store.replica_nodes(member):
                     rack = topology.rack_of(node)
                     rack_usage[rack] = rack_usage.get(rack, 0) + 1
+        holders = store.replica_nodes(block_id)
         candidates = [
             n
             for n in topology.node_ids()
-            if self.network.is_up(n)
-            and block_id not in store.blocks_on_node(n)
+            if self.network.is_up(n) and n not in holders
         ]
         if not candidates:
             return None

@@ -314,11 +314,12 @@ class FailureInjector:
                 for node in store.replica_nodes(member):
                     rack = topology.rack_of(node)
                     rack_usage[rack] = rack_usage.get(rack, 0) + 1
+        holders = store.replica_nodes(block_id)
         candidates = [
             n
             for n in topology.node_ids()
             if n not in failed
-            and block_id not in store.blocks_on_node(n)
+            and n not in holders
             and self.network.is_up(n)
         ]
         if not candidates:

@@ -175,4 +175,9 @@ class NameNode:
                 stripe.stripe_id, tuple(b.block_id for b in parity_blocks)
             )
         stripe.mark_encoded([b.block_id for b in parity_blocks])
+        notify = self.block_store.on_change
+        if notify is not None:
+            # The state flip changes every member's failure margin.
+            for block_id in stripe.all_block_ids():
+                notify(block_id)
         return parity_blocks

@@ -7,10 +7,12 @@ import pytest
 from repro.cluster.topology import ClusterTopology
 from repro.core.policy import ReplicationScheme
 from repro.core.relocation import BlockMover, PlacementMonitor
+from repro.core.stripe import StripeState
 from repro.erasure.codec import CodeParams
 from repro.experiments.runner import build_cluster, populate_until_sealed
 from repro.faults.repair import RepairQueue
 from repro.faults.retry import RetryPolicy
+from repro.recovery import SCENARIOS, run_storm
 from repro.sim.metrics import ResilienceMetrics
 from repro.sim.trace import Tracer
 
@@ -30,6 +32,33 @@ TOPO_SLOW = ClusterTopology(
     nodes_per_rack=4, num_racks=8,
     intra_rack_bandwidth=100.0, cross_rack_bandwidth=100.0,
 )
+
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """Check every pick of the most-at-risk index against a full sort.
+
+    At each pop the pick must be the head of ``sorted(..., key=_risk_key)``
+    over the pending, non-active blocks (``None`` when none wait); the
+    pops of one dispatch thus spell out that sort's prefix.  Returns the
+    list of picks made.
+    """
+    picks = []
+    pop = RepairQueue._pop_most_at_risk
+
+    def checked(queue):
+        waiting = sorted(
+            (b for b in queue._pending if b not in queue._active),
+            key=queue._risk_key,
+        )
+        picked = pop(queue)
+        assert picked == (waiting[0] if waiting else None)
+        if picked is not None:
+            picks.append(picked)
+        return picked
+
+    monkeypatch.setattr(RepairQueue, "_pop_most_at_risk", checked)
+    return picks
 
 
 def build(topology=TOPO, seed=1, stripes=2, encode=True, retry=None,
@@ -118,6 +147,225 @@ class TestPrioritization:
         assert queue.pending_count == 1
         setup.sim.run()
         assert first.value == "rereplicated"
+
+
+class TestRiskIndex:
+    """The incremental most-at-risk index picks exactly what a full sort
+    of the waiting blocks would, however their keys move while queued."""
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    @pytest.mark.parametrize("policy", ["rr", "ear", "recovery"])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_storm_picks_match_full_sort(
+        self, oracle, scenario, policy, concurrency
+    ):
+        report = run_storm(scenario, seed=5, policy=policy, num_stripes=40,
+                           repair_concurrency=concurrency)
+        assert report.clean, report.summary()
+        assert oracle
+
+    def test_chaos_drill_picks_match_full_sort(self, oracle):
+        from repro.faults.drill import run_chaos_drill
+
+        assert run_chaos_drill(seed=0).clean
+        assert oracle
+
+    def queue_behind(self, setup, queue, lead, waiting):
+        """Enqueue ``lead`` and ``waiting``; return their finish order.
+
+        Runs until ``lead`` (which must rank first) is under its 10 s
+        repair, so every waiting block's key is already in the index
+        when the caller then moves it.
+        """
+        finished = []
+
+        def watch(block, event):
+            yield event
+            finished.append(block)
+
+        for block in [lead] + waiting:
+            setup.sim.process(watch(block, queue.enqueue(block)))
+        setup.sim.run(until=1.0)
+        assert queue._active == {lead}
+        assert sorted(queue._keys) == sorted(waiting)
+        return finished
+
+    def test_stripe_encoded_while_queued_is_rekeyed(self, oracle):
+        setup, sealed, queue = build(topology=TOPO_SLOW, stripes=3,
+                                     encode=False)
+        store = setup.namenode.block_store
+        plan = setup.namenode.make_planner(CODE).plan(sealed[2])
+        lead = sealed[0].block_ids[0]
+        block_a = sealed[1].block_ids[0]
+        block_b, __, gone_1, gone_2 = sealed[2].block_ids
+        for node in store.replica_nodes(lead)[1:]:
+            store.remove_replica(lead, node)
+        for block in (block_a, block_b):
+            store.remove_replica(block, store.replica_nodes(block)[0])
+        for block in (gone_1, gone_2):
+            for node in store.replica_nodes(block):
+                store.remove_replica(block, node)
+        # Replicated, A and B both sit at margin 1; A's stripe ranks first.
+        finished = self.queue_behind(setup, queue, lead, [block_a, block_b])
+        assert queue._keys[block_a] < queue._keys[block_b]
+        # Encoding B's stripe through the NameNode's commit leaves four
+        # surviving members for k=4: B's margin drops to 0, ahead of A.
+        setup.namenode.record_encoding(sealed[2], plan)
+        assert queue._risk_key(block_b) < queue._risk_key(block_a)
+        setup.sim.run()
+        assert finished == [lead, block_b, block_a]
+        assert len(oracle) == 3
+
+    def test_block_joining_stripe_while_queued_is_rekeyed(self, oracle):
+        setup, sealed, queue = build(topology=TOPO_SLOW, encode=False)
+        store = setup.namenode.block_store
+        pre_store = setup.namenode.pre_encoding_store
+        first = min(sealed, key=lambda s: s.stripe_id)
+        later = [s for s in pre_store.open_stripes()
+                 if s.stripe_id > first.stripe_id]
+        assert later, "needs an open stripe after the first sealed one"
+        lead, member = first.block_ids[:2]
+        for node in store.replica_nodes(lead)[1:]:
+            store.remove_replica(lead, node)
+        store.remove_replica(member, store.replica_nodes(member)[0])
+        stray = store.create_block(1000).block_id
+        store.add_replicas(stray, [0, 5])
+        # Both sit at margin 1: the stripeless block (rank -1) ranks
+        # first until it joins a later stripe while queued.
+        finished = self.queue_behind(setup, queue, lead, [stray, member])
+        assert queue._keys[stray] < queue._keys[member]
+        pre_store.add_block(later[0].stripe_id, stray)
+        assert queue._risk_key(member) < queue._risk_key(stray)
+        setup.sim.run()
+        assert finished == [lead, member, stray]
+        assert len(oracle) == 3
+
+    def test_every_key_input_writer_reports_the_block(self):
+        setup, sealed, __ = build(encode=False)
+        store = setup.namenode.block_store
+        pre_store = setup.namenode.pre_encoding_store
+        seen = []
+        store.on_change = pre_store.on_change = seen.append
+        stripe = sealed[0]
+        block = stripe.block_ids[0]
+        node = store.replica_nodes(block)[0]
+        store.remove_replica(block, node)
+        store.add_replica(block, node)
+        stray = store.create_block(1000).block_id
+        open_stripe = pre_store.open_stripes()[0]
+        pre_store.add_block(open_stripe.stripe_id, stray)
+        store.assign_stripe(stray, open_stripe.stripe_id)
+        assert seen == [block, block, stray, stray]
+        del seen[:]
+        states = []
+        store.on_change = lambda b: (seen.append(b),
+                                     states.append(stripe.state))
+        plan = setup.namenode.make_planner(CODE).plan(stripe)
+        setup.namenode.record_encoding(stripe, plan)
+        # Parity placements and replica trims report as they happen; the
+        # state flip then reports every member.
+        members = stripe.all_block_ids()
+        assert seen[-len(members):] == members
+        assert set(states[-len(members):]) == {StripeState.ENCODED}
+
+    def test_queue_listens_only_while_it_holds_damage(self):
+        setup, sealed, queue = build(encode=False)
+        store = setup.namenode.block_store
+        assert store.on_change is None
+        block = sealed[0].block_ids[0]
+        store.remove_replica(block, store.replica_nodes(block)[0])
+        queue.enqueue(block)
+        assert store.on_change is not None
+        assert setup.namenode.pre_encoding_store.on_change is not None
+        setup.sim.run()
+        assert store.on_change is None
+        assert setup.namenode.pre_encoding_store.on_change is None
+
+    def test_second_listening_queue_raises(self):
+        setup, sealed, queue = build(encode=False)
+        other = RepairQueue(
+            setup.sim, setup.network, setup.namenode, setup.raidnode,
+        )
+        store = setup.namenode.block_store
+        first, second = sealed[0].block_ids[:2]
+        for block in (first, second):
+            store.remove_replica(block, store.replica_nodes(block)[0])
+        queue.enqueue(first)
+        with pytest.raises(RuntimeError):
+            other.enqueue(second)
+        setup.sim.run()
+        # Once the first queue drained, the second may take over.
+        done = other.enqueue(second)
+        setup.sim.run()
+        assert done.value == "rereplicated"
+
+    def test_recovered_stores_come_back_unwatched(self, tmp_path):
+        """Replay restores and re-encodes stripes without notifying: it
+        runs on stores no queue can be listening to yet."""
+        from repro.journal import MetadataJournal, recover
+
+        journal = MetadataJournal(str(tmp_path), segment_records=64)
+        setup = build_cluster("ear", TOPO, CODE, SCHEME, 1,
+                              block_size=1000, journal=journal)
+        populate_until_sealed(setup, 1)
+        stripe = setup.namenode.sealed_stripes()[0]
+        setup.sim.process(setup.encoder.encode_stripe(stripe))
+        setup.sim.run()
+        journal.flush()
+        journal.close()
+        recovered = recover(str(tmp_path), TOPO)
+        assert recovered.block_store.on_change is None
+        assert recovered.stripe_store.on_change is None
+
+    @staticmethod
+    def count_storm(monkeypatch, num_stripes):
+        """Risk-key evaluations against the bound's inputs, one storm."""
+        counts = {"keys": 0, "enqueues": 0, "mutations": 0}
+        init = RepairQueue.__init__
+        enqueue = RepairQueue.enqueue
+        risk_key = RepairQueue._risk_key
+
+        def counting_init(queue, *args, **kwargs):
+            init(queue, *args, **kwargs)
+            mark = queue._on_change
+
+            def on_change(block_id):
+                counts["mutations"] += 1
+                mark(block_id)
+
+            queue._on_change = on_change
+
+        def counting_enqueue(queue, block_id):
+            if block_id not in queue._pending:
+                counts["enqueues"] += 1
+            return enqueue(queue, block_id)
+
+        def counting_risk_key(queue, block_id):
+            counts["keys"] += 1
+            return risk_key(queue, block_id)
+
+        monkeypatch.setattr(RepairQueue, "__init__", counting_init)
+        monkeypatch.setattr(RepairQueue, "enqueue", counting_enqueue)
+        monkeypatch.setattr(RepairQueue, "_risk_key", counting_risk_key)
+        report = run_storm("scrub_storm", seed=1, policy="ear",
+                           num_stripes=num_stripes, num_racks=10,
+                           nodes_per_rack=6)
+        monkeypatch.undo()
+        assert report.clean, report.summary()
+        return counts
+
+    def test_rekeying_scales_linearly_with_storm_size(self, monkeypatch):
+        """A full re-sort per dispatch made key evaluations grow with the
+        square of the storm; the index re-keys only touched stripes."""
+        width = CodeParams(6, 4).n
+        small = self.count_storm(monkeypatch, 100)
+        large = self.count_storm(monkeypatch, 200)
+        for counts in (small, large):
+            assert counts["enqueues"] > 0
+            assert counts["keys"] <= width * (
+                counts["enqueues"] + counts["mutations"]
+            ), counts
+        assert large["keys"] <= 2.5 * small["keys"], (small, large)
 
 
 class TestConcurrency:
