@@ -19,12 +19,12 @@ Example:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim.metrics import PERF
-from repro.sim.scheduler import make_scheduler
 
 
 class SimulationError(RuntimeError):
@@ -320,13 +320,10 @@ class Process(Event):
 class Simulator:
     """The event queue and clock.
 
-    Args:
-        scheduler: ``None`` (consult ``$REPRO_SIM_SCHEDULER``, default the
-            binary heap), a name from
-            :data:`~repro.sim.scheduler.SCHEDULER_NAMES`, or a scheduler
-            instance.  Both built-in schedulers honour the exact
-            ``(time, seq)`` total order, so the choice changes wall-clock
-            behaviour only — never results.
+    The queue is one binary heap (``heapq``) of ``(time, seq, event)``
+    entries.  ``seq`` is a strictly increasing tie-breaker, so entries
+    at equal times pop in scheduling order and the event order is a
+    pure function of the program and its seeds.
 
     Example:
         >>> sim = Simulator()
@@ -345,9 +342,9 @@ class Simulator:
     #: small enough that a burst can never pin memory afterwards.
     POOL_CAP = 4096
 
-    def __init__(self, scheduler=None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._scheduler = make_scheduler(scheduler)
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         # Free lists for the kernel's dominant allocation sites.  Events
         # flagged _recycle return here right after their callbacks run;
@@ -365,11 +362,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time, in seconds."""
         return self._now
-
-    @property
-    def scheduler_name(self) -> str:
-        """Name of the active scheduler ("heap", "calendar", ...)."""
-        return getattr(self._scheduler, "name", type(self._scheduler).__name__)
 
     # ------------------------------------------------------------------
     # Factories
@@ -429,17 +421,15 @@ class Simulator:
         Events scheduled exactly at ``until`` still run; the clock never
         exceeds ``until`` when it is given.
         """
-        # Hot loop: hoist the scheduler pop, the counter bump and the
-        # pool release out of the attribute-lookup path — this loop runs
-        # once per simulated event across every experiment.
-        pop_until = self._scheduler.pop_until
+        # Hot loop: hoist the heap, the counter bump and the pool release
+        # out of the attribute-lookup path — this loop runs once per
+        # simulated event across every experiment.
+        heap = self._heap
+        pop = heapq.heappop
         bump = PERF.bump
         release = self._release_event
-        while True:
-            entry = pop_until(until)
-            if entry is None:
-                break
-            time, __, event = entry
+        while heap and (until is None or heap[0][0] <= until):
+            time, __, event = pop(heap)
             self._now = time
             bump("sim.events")
             event._process()  # noqa: SLF001 - kernel internal
@@ -450,10 +440,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Process a single event; returns False when the queue is empty."""
-        entry = self._scheduler.pop_until(None)
-        if entry is None:
+        if not self._heap:
             return False
-        time, __, event = entry
+        time, __, event = heapq.heappop(self._heap)
         self._now = time
         PERF.bump("sim.events")
         event._process()  # noqa: SLF001 - kernel internal
@@ -463,7 +452,7 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or ``None`` when idle."""
-        return self._scheduler.peek_time()
+        return self._heap[0][0] if self._heap else None
 
     # ------------------------------------------------------------------
     # Event pools
@@ -530,4 +519,4 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def _schedule(self, delay: float, event: Event) -> None:
-        self._scheduler.push(self._now + delay, next(self._seq), event)
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), event))
