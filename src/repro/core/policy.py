@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.block import BlockId, BlockStore
 from repro.cluster.topology import ClusterTopology, NodeId, RackId
@@ -125,6 +125,9 @@ class PlacementPolicy(ABC):
         self.topology = topology
         self.scheme = scheme
         self.rng = rng if rng is not None else random.Random(0)
+        # min_nodes -> racks with at least that many nodes, in rack order;
+        # the topology is immutable, so each list is built once.
+        self._eligible_racks: Dict[int, List[RackId]] = {}
 
     @abstractmethod
     def place_block(
@@ -152,12 +155,19 @@ class PlacementPolicy(ABC):
         Heterogeneous clusters may contain racks too small to host a
         multi-copy replica group; those are never eligible for it.
         """
-        excluded = set(exclude)
-        candidates = [
-            r
-            for r in self.topology.rack_ids()
-            if r not in excluded and len(self.topology.rack(r)) >= min_nodes
-        ]
+        eligible = self._eligible_racks.get(min_nodes)
+        if eligible is None:
+            eligible = [
+                r
+                for r in self.topology.rack_ids()
+                if len(self.topology.rack(r)) >= min_nodes
+            ]
+            self._eligible_racks[min_nodes] = eligible
+        if exclude:
+            excluded = set(exclude)
+            candidates = [r for r in eligible if r not in excluded]
+        else:
+            candidates = eligible
         if not candidates:
             raise PlacementError(
                 f"no eligible rack with at least {min_nodes} node(s) remains"

@@ -16,7 +16,7 @@ from repro.core.ear import EncodingAwareReplication
 from repro.faults.retry import RetryPolicy
 from repro.core.policy import PlacementPolicy, ReplicationScheme
 from repro.core.random_replication import RandomReplication
-from repro.core.stripe import PreEncodingStore
+from repro.core.stripe import PreEncodingStore, StripeState
 from repro.erasure.codec import CodeParams
 from repro.experiments.config import PolicyName, StrategyName
 from repro.hdfs.client import CFSClient
@@ -232,18 +232,26 @@ def populate_blocks(setup: ClusterSetup, count: int) -> None:
 
 
 def populate_until_sealed(setup: ClusterSetup, num_stripes: int, max_blocks: int = 10_000_000) -> None:
-    """Pre-place blocks until ``num_stripes`` stripes have sealed."""
+    """Pre-place blocks until ``num_stripes`` stripes have sealed.
+
+    Stripes seal on the block that fills them, so seals are counted from
+    each placement's stripe instead of rescanning the store per block.
+    """
     writers = list(setup.topology.node_ids())
     placed = 0
     store = setup.namenode.pre_encoding_store
     if store is None:
         raise ValueError("the policy maintains no pre-encoding store")
-    while len(store.sealed_stripes()) < num_stripes:
+    sealed = len(store.sealed_stripes())
+    while sealed < num_stripes:
         if placed >= max_blocks:
             raise RuntimeError("placement did not seal enough stripes")
         writer = setup.rng.choice(writers)
-        setup.namenode.allocate_block(writer_node=writer)
+        __, decision = setup.namenode.allocate_block(writer_node=writer)
         placed += 1
+        if (decision.stripe_id is not None
+                and store.stripe(decision.stripe_id).state == StripeState.SEALED):
+            sealed += 1
 
 
 def mean(values: Iterable[float]) -> float:

@@ -1,7 +1,10 @@
 """ReplicationScheme layouts and the shared PlacementPolicy helpers."""
 
+import random
+
 import pytest
 
+from repro.cluster.topology import ClusterTopology
 from repro.core.policy import (
     DISTINCT_RACKS,
     PlacementError,
@@ -85,6 +88,28 @@ class TestSharedHelpers:
         policy = RandomReplication(small_topology, rng=rng)
         with pytest.raises(PlacementError):
             policy._random_rack(exclude=[0, 1, 2, 3])
+
+    def test_random_rack_draws_match_uncached_filter(self):
+        """Cached eligibility keeps the candidate order, so draws match."""
+        topo = ClusterTopology(nodes_per_rack=[1, 3, 2, 1, 4, 2])
+        policy = RandomReplication(topo, rng=random.Random(7))
+        reference = random.Random(7)
+        for step in range(300):
+            min_nodes = step % 3 + 1
+            exclude = [r for r in topo.rack_ids() if (r + step) % 4 == 0]
+            candidates = [
+                r for r in topo.rack_ids()
+                if r not in exclude and len(topo.rack(r)) >= min_nodes
+            ]
+            expected = reference.choice(candidates)
+            assert policy._random_rack(exclude, min_nodes) == expected
+
+    def test_random_rack_too_small_racks_exhausted(self):
+        topo = ClusterTopology(nodes_per_rack=[1, 3, 1])
+        policy = RandomReplication(topo, rng=random.Random(0))
+        assert policy._random_rack(min_nodes=2) == 1
+        with pytest.raises(PlacementError):
+            policy._random_rack(exclude=[1], min_nodes=2)
 
     def test_random_nodes_in_rack(self, medium_topology, rng):
         policy = RandomReplication(medium_topology, rng=rng)

@@ -1,5 +1,7 @@
 """Experiment B.2: large-scale runs and the Figure 13 sweeps (scaled)."""
 
+import hashlib
+
 import pytest
 
 from repro.erasure.codec import CodeParams
@@ -42,6 +44,26 @@ class TestRunLargeScale:
         b = run_largescale("ear", SMALL, seed=3)
         assert a.encoding_time == b.encoding_time
         assert a.encode_throughput_mb_s == b.encode_throughput_mb_s
+
+
+class TestArchiveDigests:
+    """The archival wave's exact results, pinned across refactors."""
+
+    #: sha256 of ``repr(run_largescale(policy, SMALL, seed))``, recorded
+    #: before link waiters were indexed by key; any change to link grant
+    #: order, placement draws or seal counting changes them.
+    DIGESTS = {
+        ("rr", 1): "bc4230248cc5cea6b4573c7b5f12e8ba6f565979184f0b25e5e9832234e89e2a",
+        ("rr", 2): "928312ea8a0591b38b65d72cee03c32d3a0ef2fb950a288e0a4e15d545a8d91f",
+        ("ear", 1): "ced54135914f69a82b3e566338e5212c6fb3d15210fb8134da57af016201549c",
+        ("ear", 2): "93e9051ddcb70bc52022344334d683b0eac5b630cc6bd1de5d7b075478622bc0",
+    }
+
+    @pytest.mark.parametrize("policy,seed", sorted(DIGESTS))
+    def test_result_matches_recorded_digest(self, policy, seed):
+        result = run_largescale(policy, SMALL, seed=seed)
+        digest = hashlib.sha256(repr(result).encode()).hexdigest()
+        assert digest == self.DIGESTS[(policy, seed)]
 
 
 class TestSweeps:

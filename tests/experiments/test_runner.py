@@ -73,6 +73,34 @@ class TestPopulation:
         populate_until_sealed(setup, 5)
         assert len(setup.namenode.sealed_stripes()) >= 5
 
+    @staticmethod
+    def _rescanning_populate(setup, num_stripes):
+        """Reference: re-count the sealed stripes after every block."""
+        writers = list(setup.topology.node_ids())
+        store = setup.namenode.pre_encoding_store
+        while len(store.sealed_stripes()) < num_stripes:
+            setup.namenode.allocate_block(writer_node=setup.rng.choice(writers))
+
+    @pytest.mark.parametrize("policy", ["rr", "ear", "recovery"])
+    def test_seal_count_matches_rescan(self, policy):
+        counted = build_cluster(policy, TOPO, CODE, SCHEME, seed=4)
+        rescanned = build_cluster(policy, TOPO, CODE, SCHEME, seed=4)
+        # The second call starts from stripes sealed by the first.
+        for target in (3, 3, 9):
+            populate_until_sealed(counted, target)
+            self._rescanning_populate(rescanned, target)
+            sealed = counted.namenode.sealed_stripes()
+            assert len(sealed) == target
+            assert [s.stripe_id for s in sealed] == [
+                s.stripe_id for s in rescanned.namenode.sealed_stripes()
+            ]
+            assert len(counted.namenode.block_store) == len(
+                rescanned.namenode.block_store
+            )
+            assert counted.rng.getstate() == rescanned.rng.getstate()
+            assert (counted.policy.rng.getstate()
+                    == rescanned.policy.rng.getstate())
+
     def test_populate_requires_store(self):
         policy = RandomReplication(TOPO)  # no pre-encoding store
         from repro.hdfs.namenode import NameNode
